@@ -75,9 +75,6 @@ class SwitchMLConfig:
     #: observability layer shared by the engine, workers, and switch
     #: program; None falls back to the disabled :data:`NULL_OBS`
     obs: "Observability | None" = None
-    #: event-engine scheduler: "wheel" (timer-wheel/heap hybrid, default)
-    #: or "heap" (single legacy heap); both fire the identical sequence
-    scheduler: str = "wheel"
     #: reuse per-slot packet/frame objects on the hot paths instead of
     #: allocating per packet.  None (default) = auto: enabled exactly
     #: when ``link.jitter_s == 0`` -- jitter can reorder deliveries, and
@@ -85,11 +82,12 @@ class SwitchMLConfig:
     #: still in flight.  Force with True/False for A/B testing.
     reuse_buffers: bool | None = None
     #: execution granularity: "packet" replays the event-per-packet
-    #: schedule (bit-identical to the tracked determinism fingerprints);
-    #: "burst" drains each simultaneous-arrival group through one
-    #: vectorized handler -- same final tensors, retransmission counts,
-    #: and completion times, fewer engine events (DESIGN note in
-    #: docs/ARCHITECTURE.md).
+    #: schedule (the reference; bit-identical to the tracked determinism
+    #: fingerprints); "burst" drains each simultaneous-arrival group
+    #: through one vectorized handler and emits each batch of outbound
+    #: frames as one frame train -- same final tensors, retransmission
+    #: counts, and completion times at ``burst_epsilon == 0`` (see
+    #: "Execution granularity" in docs/ARCHITECTURE.md).
     granularity: str = "packet"
     #: epsilon-window coalescing (requires ``granularity="burst"``):
     #: arrivals within ``burst_epsilon`` seconds of a group's opener ride
@@ -101,22 +99,41 @@ class SwitchMLConfig:
     #: tensors, same retransmissions under the same loss draws), not
     #: schedule-identical.
     burst_epsilon: float = 0.0
-    #: switch inner-loop backend: None reads $REPRO_BACKEND ("numpy"
-    #: default; "c" = compiled kernel with NumPy fallback).  See
-    #: :mod:`repro.core.backend`.
-    backend: str | None = None
-    #: frame-train egress (requires ``granularity="burst"``): workers and
-    #: the switch emit each batch of outbound frames as one *train* --
-    #: one engine event carrying the ordered frame vector, with per-frame
-    #: RNG draws pre-sampled in stream order -- instead of one event per
-    #: frame.  At ``burst_epsilon == 0`` the schedule stays bit-identical
-    #: to packet mode (same draws, same stats, same fingerprints); see
-    #: tests/integration/test_train_equivalence.py.
-    train_egress: bool = False
-    #: split trains longer than this many frames into consecutive
-    #: sub-trains (bounds per-event work); 0 = unlimited
-    train_cap: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject out-of-domain values at construction, before any
+        simulator state exists to fail (or spin) deep inside a run."""
+        if self.num_workers < 1:
+            raise ValueError("num_workers must be at least 1")
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be at least 1")
+        if self.elements_per_packet < 1:
+            raise ValueError("elements_per_packet must be at least 1")
+        if not self.timeout_s > 0:
+            # zero would re-arm every timer at its own firing instant
+            # forever; negative (or NaN) schedules into the past
+            raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
+        if self.timeout_mode not in ("fixed", "adaptive"):
+            raise ValueError(f"unknown timeout_mode {self.timeout_mode!r}")
+        if self.bytes_per_element < 1:
+            raise ValueError("bytes_per_element must be at least 1")
+        if self.pipeline_latency_s < 0:
+            raise ValueError("pipeline_latency_s must be non-negative")
+        if self.fp16_switch and self.lossless_switch:
+            raise ValueError("fp16_switch and lossless_switch are exclusive")
+        if self.max_retries is not None and self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative (or None)")
+        if self.epoch < 0:
+            raise ValueError("epoch must be non-negative")
+        if self.granularity not in ("packet", "burst"):
+            raise ValueError(
+                f"granularity must be 'packet' or 'burst', got {self.granularity!r}"
+            )
+        if not self.burst_epsilon >= 0:
+            raise ValueError("burst_epsilon must be non-negative")
+        if self.burst_epsilon > 0 and self.granularity != "burst":
+            raise ValueError("burst_epsilon requires granularity='burst'")
 
 
 @dataclass
@@ -356,20 +373,7 @@ class SwitchMLJob:
     def __init__(self, config: SwitchMLConfig | None = None):
         self.config = config if config is not None else SwitchMLConfig()
         cfg = self.config
-        if cfg.granularity not in ("packet", "burst"):
-            raise ValueError(
-                f"granularity must be 'packet' or 'burst', got {cfg.granularity!r}"
-            )
-        burst = cfg.granularity == "burst"
-        if cfg.burst_epsilon < 0:
-            raise ValueError("burst_epsilon must be non-negative")
-        if cfg.burst_epsilon > 0 and not burst:
-            raise ValueError("burst_epsilon requires granularity='burst'")
-        if cfg.train_cap < 0:
-            raise ValueError("train_cap must be non-negative")
-        if cfg.train_egress and not burst:
-            raise ValueError("train_egress requires granularity='burst'")
-        self.sim = Simulator(seed=cfg.seed, scheduler=cfg.scheduler)
+        self.sim = Simulator(seed=cfg.seed)
         # zero-copy hot paths need FIFO delivery; jitter reorders (see
         # SwitchMLConfig.reuse_buffers)
         reuse = (
@@ -388,8 +392,6 @@ class SwitchMLJob:
                 loss_factory=cfg.loss_factory,
             ),
         )
-        if cfg.fp16_switch and cfg.lossless_switch:
-            raise ValueError("fp16_switch and lossless_switch are exclusive")
         self.obs = cfg.obs if cfg.obs is not None else NULL_OBS
         self.sim.attach_obs(self.obs)
         # In-band telemetry: stamp the rack's links and pipeline, drain
@@ -423,20 +425,17 @@ class SwitchMLJob:
                 check_invariants=cfg.check_invariants,
                 epoch=cfg.epoch,
                 obs=self.obs, clock=clock, trace=self.trace,
-                backend=cfg.backend,
             )
-        if burst:
+        if cfg.granularity == "burst":
             # rewire the rack for burst granularity: uplinks feed the
             # chassis's grouping ingress, downlinks terminate at the
             # host's grouping RX, and the links themselves coalesce
             # coinciding arrivals.  Rewiring (instead of branching in
-            # the per-frame paths) keeps packet mode's hot paths
-            # byte-for-byte identical to PR 3.
+            # the per-frame paths) keeps packet mode's hot paths free
+            # of burst checks.
             switch = self.rack.switch
             eps = cfg.burst_epsilon
             switch.burst_epsilon = eps
-            switch.train_egress = cfg.train_egress
-            switch.train_cap = cfg.train_cap
             for w in range(cfg.num_workers):
                 port = self.rack.host_port(w)
                 self.rack.uplinks[w].connect(
@@ -487,8 +486,6 @@ class SwitchMLJob:
                 reuse_buffers=reuse,
                 granularity=cfg.granularity,
                 burst_epsilon=cfg.burst_epsilon,
-                train_egress=cfg.train_egress,
-                train_cap=cfg.train_cap,
             )
             self.rack.hosts[w].attach_agent(worker)
             self.workers.append(worker)

@@ -265,11 +265,10 @@ class SwitchSlotState:
     O(1) inspection instead of an O(n) scan).
 
     The narrow arrays are NumPy-backed (``numpy_narrow=True``) so the
-    batch bodies and the optional compiled kernel can update the
-    ``seen`` bitmap and contribution counters whole-batch; their raw
-    storage is exposed as ``seen_bits`` / ``count_cells`` (``uint8``
-    arrays) -- the aliases both the per-packet path and the vectorized
-    path index directly.  They stay valid across :meth:`reset` because
+    vectorized batch body can update the ``seen`` bitmap and
+    contribution counters whole-batch; their raw storage is exposed as
+    ``seen_bits`` / ``count_cells`` (``uint8`` arrays) -- the aliases
+    both the per-packet path and the vectorized path index directly.  They stay valid across :meth:`reset` because
     ``RegisterArray.reset`` clears in place.
     """
 

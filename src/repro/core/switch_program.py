@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.backend import backend_name, load_switch_kernel
 from repro.core.packet import SwitchMLPacket
 from repro.core.protocol import (
     DROP_DECISION as _DROP,
@@ -130,15 +129,10 @@ class SwitchMLProgram:
         bucketed-series mechanism.  The program ticks ``slot_contention``
         and ``shadow_read`` so loss timelines cover the switch end as
         well as the worker's ``sent`` / ``resent``.
-    backend:
-        Batch-body backend selection: ``"c"`` for the compiled kernel,
-        ``"numpy"`` for the pure-NumPy body, ``None`` (default) to read
-        ``$REPRO_BACKEND``.  Fail-soft: if the kernel cannot be built
-        the NumPy body is used (see :mod:`repro.core.backend`).
     """
 
-    #: smallest batch the vectorized/compiled bodies pay for themselves
-    #: on; smaller drains loop the per-packet handle() (same semantics)
+    #: smallest batch the vectorized body pays for itself on; smaller
+    #: drains loop the per-packet handle() (same semantics)
     BATCH_MIN = 16
 
     def __init__(
@@ -151,7 +145,6 @@ class SwitchMLProgram:
         obs: "Observability | None" = None,
         clock: Callable[[], float] | None = None,
         trace: "TraceRecorder | None" = None,
-        backend: str | None = None,
     ):
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -177,7 +170,6 @@ class SwitchMLProgram:
         # arrays' `accesses` counters are batch-incremented per packet.
         self._seen_bits: np.ndarray = self.state.seen_bits
         self._count_cells: np.ndarray = self.state.count_cells
-        self._kernel = load_switch_kernel(backend)
         # Per-(version, slot) tensor offset of the last phase opened
         # there.  Within one program's life a slot's phases carry
         # strictly increasing offsets (the worker round-robin strides
@@ -532,28 +524,26 @@ class SwitchMLProgram:
 
         Burst-granularity entry point: the chassis hands over every
         update that crossed the ingress pipeline in the same drain
-        window (in arrival order).  Three bodies sit behind this
-        interface, picked per call:
+        window (in arrival order).  Two bodies sit behind this
+        interface:
 
-        * the **vectorized NumPy body** (default): no per-frame Python
-          loop beyond field extraction -- the batch is grouped by flat
-          (version, slot) key with ``np.unique``, the ``seen`` bitmap
-          and maintained popcount are updated whole-batch, counters
-          advance by group size, and value aggregation is one grouped
-          ``np.add.at`` scatter over the pool viewed as ``(2s, k)``
-          rows.  Only *messy* slots (one with a duplicate, shadow
-          read, or repeated (slot, worker) pair in the batch) fall
-          back to the per-packet :meth:`handle`, preserving its exact
-          semantics;
-        * the **compiled kernel** (``REPRO_BACKEND=c``): the
-          order-dependent classification loop runs in C over the raw
-          ``uint8``/``int64`` register buffers (no messy fallback
-          needed -- it is sequential and exact); Python applies the
-          payload/response plan it returns;
-        * the **grouped reference body**: per-group Python, used when
-          the event tracer or invariant checking is active (it emits
-          the per-event records the others skip for speed) and kept as
-          the behavioral reference for the equivalence suites.
+        * the **per-packet reference** -- :meth:`handle` looped in
+          arrival order.  It serves singleton and small drains (below
+          :attr:`BATCH_MIN`, where any batch setup costs more than it
+          saves), drains the phase-offset screen flags as suspect, and
+          every drain while the event tracer or invariant checking is
+          on (both need the per-event context only :meth:`handle`
+          produces);
+        * the **vectorized NumPy body** (:meth:`_handle_batch_numpy`):
+          no per-frame Python loop beyond field extraction -- the batch
+          is grouped by flat (version, slot) key with ``np.unique``,
+          the ``seen`` bitmap and maintained popcount are updated
+          whole-batch, counters advance by group size, and value
+          aggregation is one grouped ``np.add.at`` scatter over the
+          pool viewed as ``(2s, k)`` rows.  Only *messy* slots (one
+          with a duplicate, shadow read, or repeated (slot, worker)
+          pair in the batch) fall back to :meth:`handle`, preserving
+          its exact semantics.
 
         Equivalence with per-packet execution holds because clean and
         messy packets touch disjoint *slots*: every register a packet
@@ -576,18 +566,20 @@ class SwitchMLProgram:
             d = self.handle(packets[0])
             return [] if d.action is SwitchAction.DROP else [d]
         if self._tracer.enabled or self.check_invariants:
-            return self._handle_batch_groups(packets)
+            out = self._handle_each(packets)
+            if self._tracer.enabled:
+                self._tracer.emit(
+                    "burst.switch", self._clock(), cat="burst", actor="switch",
+                    packets=len(packets),
+                    groups=len({(p.ver, p.idx) for p in packets}),
+                    emissions=len(out),
+                )
+            return out
         if len(packets) < self.BATCH_MIN:
             # small drains (epsilon=0 coalescing yields mostly 1-8 frame
             # groups): the per-packet path beats any batch setup; handle()
             # fences epochs and checks ranges itself
-            out = []
-            handle = self.handle
-            for p in packets:
-                d = handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append(d)
-            return out
+            return self._handle_each(packets)
 
         # ---- field extraction + epoch fence (the one per-packet loop)
         s, n = self.s, self.n
@@ -662,17 +654,19 @@ class SwitchMLProgram:
                 sver = vs_a[o2] >= s
                 suspect = bool((same & (sver[1:] != sver[:-1])).any())
         if suspect:
-            out = []
-            handle = self.handle
-            for p in pks:
-                d = handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append(d)
-            return out
-
-        if self._kernel is not None:
-            return self._handle_batch_compiled(pks, vs_a, wid_a, off_a)
+            return self._handle_each(pks)
         return self._handle_batch_numpy(pks, vs_a, wid_a, off_a)
+
+    def _handle_each(self, packets: list[SwitchMLPacket]) -> list[SwitchDecision]:
+        """The per-packet reference over a drain: :meth:`handle` in
+        arrival order, drops filtered out."""
+        out = []
+        handle = self.handle
+        for p in packets:
+            d = handle(p)
+            if d.action is not SwitchAction.DROP:
+                out.append(d)
+        return out
 
     # ------------------------------------------------------------------
     def _handle_batch_numpy(
@@ -827,360 +821,6 @@ class SwitchMLProgram:
                 if d.action is not SwitchAction.DROP:
                     out.append((int(i), d))
 
-        if len(out) > 1:
-            out.sort(key=lambda e: e[0])
-        return [d for _, d in out]
-
-    # ------------------------------------------------------------------
-    def _handle_batch_compiled(
-        self,
-        pks: list[SwitchMLPacket],
-        vs_a: np.ndarray,
-        wid_a: np.ndarray,
-        off_a: np.ndarray,
-    ) -> list[SwitchDecision]:
-        """Compiled-kernel batch body (``REPRO_BACKEND=c``).
-
-        The C kernel runs the exact order-dependent classification over
-        the raw register buffers and returns per-packet verdicts; this
-        side applies the payload plan and builds the responses.
-        """
-        from repro.core import backend as _be
-
-        s, n, k = self.s, self.n, self.k
-        m = len(pks)
-        cls, resets, seen_acc, count_acc = self._kernel.absorb(
-            s, n, vs_a, wid_a, self._seen_bits, self._count_cells, self._seen_pop
-        )
-        self._seen.accesses += seen_acc
-        self._count.accesses += count_acc
-        self.packets_processed += m
-
-        completes = cls == _be.CLS_COMPLETES
-        shadow = cls == _be.CLS_SHADOW
-        absorbed = cls <= _be.CLS_COMPLETES
-        n_abs = int(np.count_nonzero(absorbed))
-        n_comp = int(np.count_nonzero(completes))
-        n_shadow = int(np.count_nonzero(shadow))
-        n_dup = m - n_abs - n_shadow
-        claims = int(np.count_nonzero(resets))
-        if claims:
-            # the kernel marks each phase-opening packet in `resets`;
-            # record the offsets those phases claim (offsets are uniform
-            # per group -- the phase-offset screen diverted mixed ones)
-            ropk = resets != 0
-            self._off_cells[vs_a[ropk]] = off_a[ropk]
-        self.multicasts += n_comp
-        self.unicast_retransmits += n_shadow
-        self.ignored_duplicates += n_dup
-        self.occupied_slots += claims - n_comp
-        if self._m_on:
-            if n_abs:
-                self._m_contributions.inc(n_abs)
-            if n_comp:
-                self._m_multicasts.inc(n_comp)
-            if n_shadow:
-                self._m_shadow.inc(n_shadow)
-            if n_dup:
-                self._m_dup.inc(n_dup)
-            if claims or n_comp:
-                self._g_occupied.set(self.occupied_slots)
-        if self.trace is not None and (n_shadow or n_dup):
-            now = self._clock()
-            for _ in range(n_shadow):
-                self.trace.tick("shadow_read", now)
-            for _ in range(n_dup):
-                self.trace.tick("slot_contention", now)
-
-        has_vec = pks[0].vector is not None
-        shadow_vecs: dict[int, np.ndarray] = {}
-        mc_vecs: dict[int, np.ndarray] = {}
-        if has_vec:
-            pool2 = self._pool._cells.reshape(2 * s, k)
-            shadow_idx = np.nonzero(shadow)[0]
-            reset_mask = resets != 0
-            opening = np.unique(vs_a[reset_mask]) if claims else vs_a[:0]
-            # Rare races needing packet-order replay: a shadow read of
-            # a slot whose next phase also opens in this batch must
-            # observe the *old* copy iff the read precedes the opening
-            # packet; likewise a completed aggregation whose row is
-            # reopened later in the batch must be read before the new
-            # phase overwrites it.  Otherwise apply the batch payload
-            # plan wide, then read the shadows: a shadow sees count==0,
-            # so every in-batch absorb into its row precedes it (a
-            # later one would be a reset, caught by `overlap`) -- the
-            # post-add row is exactly what sequential execution reads.
-            overlap = opening.size and (
-                (shadow_idx.size and bool(np.isin(vs_a[shadow_idx], opening).any()))
-                or (n_comp and bool(np.isin(vs_a[completes], opening).any()))
-            )
-            if not overlap:
-                if opening.size:
-                    pool2[opening] = 0
-                ab_idx = np.nonzero(absorbed)[0]
-                if ab_idx.size:
-                    vecs = np.stack([pks[i].vector for i in ab_idx])
-                    np.add.at(pool2, vs_a[ab_idx], vecs.astype(np.int32))
-                    self._pool.accesses += int(np.unique(vs_a[ab_idx]).size)
-                for i in shadow_idx:
-                    lo = int(vs_a[i]) * k
-                    shadow_vecs[int(i)] = self._pool.read_range(lo, lo + k)
-            else:
-                for i in range(m):
-                    lo = int(vs_a[i]) * k
-                    if absorbed[i]:
-                        if resets[i]:
-                            self._pool.write_range(lo, lo + k, pks[i].vector)
-                        else:
-                            self._pool.add_range(lo, lo + k, pks[i].vector)
-                        if completes[i]:
-                            # capture at completion time: a later packet
-                            # may reopen and overwrite this row
-                            mc_vecs[i] = self._pool.read_range(lo, lo + k)
-                    elif shadow[i]:
-                        shadow_vecs[i] = self._pool.read_range(lo, lo + k)
-
-        out: list[SwitchDecision] = []
-        if n_comp or n_shadow:
-            for i in np.nonzero(completes | shadow)[0]:
-                i = int(i)
-                p = pks[i]
-                if completes[i]:
-                    vector = mc_vecs.get(i)
-                    if vector is None and has_vec:
-                        lo = int(vs_a[i]) * k
-                        vector = self._pool.read_range(lo, lo + k)
-                    out.append(
-                        SwitchDecision(SwitchAction.MULTICAST, p.result_copy(vector))
-                    )
-                else:
-                    out.append(
-                        SwitchDecision(
-                            SwitchAction.UNICAST,
-                            p.result_copy(shadow_vecs.get(i)),
-                            unicast_wid=p.wid,
-                        )
-                    )
-        return out
-
-    @property
-    def backend(self) -> str:
-        """Active batch-body backend label (``"c"`` or ``"numpy"``)."""
-        return backend_name(self._kernel)
-
-    # ------------------------------------------------------------------
-    def _handle_batch_groups(
-        self, packets: list[SwitchMLPacket]
-    ) -> list[SwitchDecision]:
-        """Grouped per-(version, slot) reference body.
-
-        Used when the event tracer or invariant checking is active --
-        both need per-event context the wide bodies skip -- and by the
-        equivalence suites as the behavioral reference.
-        """
-        s, n = self.s, self.n
-        seen_bits = self._seen_bits
-        counts = self._count_cells
-        pop = self._seen_pop
-        # bucket by flat (version, slot); dict insertion order preserves
-        # first-seen order, so iterating groups.items() replays it
-        groups: dict[int, list[tuple[int, SwitchMLPacket]]] = {}
-        epoch = self.epoch
-        off_cells = self._off_cells
-        suspect = False  # phase-offset screen, same rules as handle_batch's
-        g_first_off: dict[int, int] = {}
-        for pos, p in enumerate(packets):
-            if p.epoch != epoch:
-                # epoch fence, identical to handle()'s
-                self.stale_epoch_drops += 1
-                if self._m_on:
-                    self._m_fence.inc()
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "fence.drop", self._clock(), cat="fence", actor="switch",
-                        wid=p.wid, packet_epoch=p.epoch, pool_epoch=self.epoch,
-                    )
-                continue
-            idx, wid = p.idx, p.wid
-            if not 0 <= idx < s:
-                raise ValueError(f"pool index {idx} out of range [0, {s})")
-            if not 0 <= wid < n:
-                raise ValueError(f"worker id {wid} out of range [0, {n})")
-            vs = p.ver * s + idx
-            if not suspect:
-                stored = off_cells[vs]
-                if counts[vs] == 0 and seen_bits[vs * n + wid] == 0:
-                    if p.off <= stored or pop[vs] != 0:
-                        suspect = True
-                elif p.off != stored:
-                    suspect = True
-                if g_first_off.setdefault(vs, p.off) != p.off:
-                    suspect = True  # mixed offsets within one group
-            g = groups.get(vs)
-            if g is None:
-                groups[vs] = [(pos, p)]
-            else:
-                g.append((pos, p))
-
-        if suspect:
-            # a reordered stale retransmission (or poisoned-phase repair)
-            # is order-sensitive: replay the whole drain per-packet, in
-            # arrival order, through the full offset discipline
-            allp = [e for g in groups.values() for e in g]
-            allp.sort(key=lambda e: e[0])
-            out = []
-            for pos, p in allp:
-                d = self.handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append((pos, d))
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "burst.switch", self._clock(), cat="burst", actor="switch",
-                    packets=len(packets), groups=len(groups), emissions=len(out),
-                )
-            return [d for _, d in out]
-
-        # slots with packets under BOTH pool versions in this batch:
-        # order between the versions is observable (an absorb clears
-        # the alternate version's seen bit), so those slots replay
-        # per-packet in global arrival order
-        vers_present = np.zeros(s, dtype=np.uint8)
-        for vs in groups:
-            vers_present[vs % s] |= 1 << (vs // s)
-
-        out: list[tuple[int, SwitchDecision]] = []
-        seq: list[tuple[int, SwitchMLPacket]] = []
-        for vs, g in groups.items():
-            if vers_present[vs % s] == 3:
-                seq.extend(g)
-                continue
-            m = len(g)
-            # fast path needs every contribution first-time from a
-            # distinct worker AND the counter not to pass n mid-group
-            # (cleared seen bits can admit more than n - count
-            # first-timers; the wrap-and-reopen is sequential-only)
-            fast = m > 1 and int(counts[vs]) + m <= n
-            if fast:
-                base = vs * n
-                wids = set()
-                for _, p in g:
-                    w = p.wid
-                    if seen_bits[base + w] or w in wids:
-                        fast = False
-                        break
-                    wids.add(w)
-            if not fast:
-                for pos, p in g:
-                    d = self.handle(p)
-                    if d.action is not SwitchAction.DROP:
-                        out.append((pos, d))
-                continue
-
-            # ---- vectorized group absorb ------------------------------
-            idx = vs % s
-            ovs = vs - s if vs >= s else vs + s  # alternate pool's copy
-            count_before = int(counts[vs])
-            if self.check_invariants and count_before == 0:
-                other_count = counts[ovs]
-                if other_count != 0:
-                    raise AssertionError(
-                        f"phase-lag invariant violated: slot {idx} ver "
-                        f"{vs // s} reused while ver {1 - vs // s} still "
-                        f"aggregating (count={other_count})"
-                    )
-            obase = ovs * n
-            seen_accesses = 3 * m
-            for _, p in g:
-                w = p.wid
-                seen_bits[base + w] = 1
-                ob = obase + w
-                if seen_bits[ob]:
-                    seen_bits[ob] = 0
-                    pop[ovs] -= 1
-                    seen_accesses += 1
-            pop[vs] += m
-            self._seen.accesses += seen_accesses
-            self._count.accesses += 2 * m
-            self.packets_processed += m
-            count = count_before + m  # distinct unseen workers: count <= n
-            wrap = count == n
-            counts[vs] = (0 if wrap else count) & 255
-            if self._m_on:
-                self._m_contributions.inc(m)
-            first_pos, first_p = g[0]
-            if count_before == 0:
-                off_cells[vs] = first_p.off  # the phase this opening claims
-                self.occupied_slots += 1
-                if self._m_on:
-                    self._g_occupied.set(self.occupied_slots)
-                if self._tracer.enabled:
-                    now = self._clock()
-                    self._tracer.emit(
-                        "slot.claim", now, cat="slot", actor="switch",
-                        slot=idx, ver=vs // s, wid=first_p.wid, off=first_p.off,
-                    )
-                    self._tracer.counter(
-                        "slots_occupied", now, self.occupied_slots,
-                        cat="slot", actor="switch",
-                    )
-            lo = vs * self.k
-            hi = lo + self.k
-            if first_p.vector is not None:
-                # m >= 2 here; int64 adds, so the sum modulo 2**32
-                # equals the sequential 32-bit wraparound adds.  One
-                # allocation + in-place adds beats np.sum over a
-                # stacked 2-D array at these widths (k ~ 32).
-                total = first_p.vector + g[1][1].vector
-                for _, p in g[2:]:
-                    total += p.vector
-                if count_before == 0:
-                    self._pool.write_range(lo, hi, total)
-                else:
-                    self._pool.add_range(lo, hi, total)
-            if wrap:
-                if self.check_invariants and pop[vs] != n:
-                    raise AssertionError(
-                        f"seen popcount {pop[vs]} != {n} at completion of "
-                        f"slot {idx} ver {vs // s}"
-                    )
-                vector = None
-                if first_p.vector is not None:
-                    vector = self._pool.read_range(lo, hi)
-                self.multicasts += 1
-                self.occupied_slots -= 1
-                if self._m_on:
-                    self._m_multicasts.inc()
-                    self._g_occupied.set(self.occupied_slots)
-                # the group's last packet is the one that completed the
-                # aggregation -- the multicast anchors to its position
-                last_pos, last_p = g[-1]
-                if self._tracer.enabled:
-                    now = self._clock()
-                    self._tracer.emit(
-                        "slot.release", now, cat="slot", actor="switch",
-                        slot=idx, ver=vs // s, off=last_p.off,
-                    )
-                    self._tracer.counter(
-                        "slots_occupied", now, self.occupied_slots,
-                        cat="slot", actor="switch",
-                    )
-                out.append((
-                    last_pos,
-                    SwitchDecision(SwitchAction.MULTICAST, last_p.result_copy(vector)),
-                ))
-
-        if seq:
-            seq.sort(key=lambda e: e[0])
-            for pos, p in seq:
-                d = self.handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append((pos, d))
-
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "burst.switch", self._clock(), cat="burst", actor="switch",
-                packets=len(packets), groups=len(groups), emissions=len(out),
-            )
         if len(out) > 1:
             out.sort(key=lambda e: e[0])
         return [d for _, d in out]

@@ -128,8 +128,6 @@ class SwitchMLWorker:
         job_id: int = 0,
         granularity: str = "packet",
         burst_epsilon: float = 0.0,
-        train_egress: bool = False,
-        train_cap: int = 0,
     ):
         if timeout_mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown timeout mode {timeout_mode!r}")
@@ -137,8 +135,6 @@ class SwitchMLWorker:
             raise ValueError(f"unknown granularity {granularity!r}")
         if burst_epsilon < 0:
             raise ValueError("burst_epsilon must be non-negative")
-        if train_cap < 0:
-            raise ValueError("train_cap must be non-negative")
         self.sim = sim
         self._schedule_at = sim.schedule_at
         self.host = host
@@ -183,11 +179,14 @@ class SwitchMLWorker:
         self._rttvar = 0.0
         self._rtt_peak = 0.0  # decaying peak: guards RTT ramp-ups
         #: execution granularity: "packet" replays the event-per-packet
-        #: schedule; "burst" additionally books the per-slot deadlines
-        #: into the SoA core's deadline array (see _arm_deadline).  With
-        #: eps=0, timer *events* stay per-slot: coarsening them into one
-        #: wake-up changes how same-instant expiries interleave with
-        #: other workers' events (the engine breaks time ties by
+        #: schedule; "burst" sends each window of chunks as one frame
+        #: train (one :meth:`Host.send_train` call -- per-chunk
+        #: bookkeeping, stats, and timer arming are identical) and books
+        #: the per-slot deadlines into the SoA core's deadline array
+        #: (see _arm_deadline).  With eps=0, timer *events* stay
+        #: per-slot: coarsening them into one wake-up changes how
+        #: same-instant expiries interleave with other workers'
+        #: events (the engine breaks time ties by
         #: scheduling order), which cascades through uplink send order
         #: into switch arrival order under loss -- and eps=0 burst mode
         #: promises bit-identical protocol outcomes.  With eps>0 the
@@ -197,18 +196,6 @@ class SwitchMLWorker:
         #: arm_seq) order -- s timer events collapse to one.
         self.granularity = granularity
         self._burst = granularity == "burst"
-        #: frame-train egress: a window of same-destination chunk sends
-        #: leaves through one :meth:`Host.send_train` call (one engine
-        #: event) instead of one ``host.send`` per chunk.  Per-chunk
-        #: bookkeeping, stats, and timer arming are identical; in packet
-        #: mode the result is bit-for-bit the per-frame schedule (the
-        #: train replays every frame at its own submit time).
-        self._train = bool(train_egress)
-        #: longest train put on the wire in one piece; 0 = unlimited.
-        #: Splitting trades batching for pacing (each sub-train charges
-        #: the TX cores when *it* is built, same as this implementation's
-        #: single-callback semantics -- the cap only bounds list sizes).
-        self.train_cap = int(train_cap)
         self.burst_epsilon = float(burst_epsilon)
         self._single_timer = self._burst and self.burst_epsilon > 0.0
         self._deadline_event: Event | None = None
@@ -351,7 +338,7 @@ class SwitchMLWorker:
         self._active_slots = active_slots
         self.stats = WorkerStats(start_time=self.sim.now)
 
-        if self._train and active_slots > 1:
+        if self._burst and active_slots > 1:
             self._send_chunks(
                 [(i, int(self._next_ver[i]), self.k * i) for i in range(active_slots)]
             )
@@ -449,16 +436,17 @@ class SwitchMLWorker:
     def _send_chunks(
         self, items: list[tuple[int, int, int]], arm: bool = True
     ) -> None:
-        """Batched :meth:`_send_chunk` over a slot group (train egress).
+        """Batched :meth:`_send_chunk` over a slot group (burst mode's
+        frame-train egress).
 
         ``items`` is ``[(idx, ver, off), ...]`` in slot order.  Per-slot
         bookkeeping replicates :meth:`_send_chunk` exactly; the fresh
         frames are built in one :func:`to_frames` call and the whole
-        group leaves through :meth:`Host.send_train` (split by
-        ``train_cap``), after which the timers are armed in slot order
-        -- the same relative timer-event scheduling order the per-chunk
-        loop produces (TX events and timers never share a fire time:
-        I/O latency is microseconds, timeouts are 100 us and up).
+        group leaves through :meth:`Host.send_train`, after which the
+        deadlines are armed in slot order -- the same relative
+        timer-event scheduling order the per-chunk loop produces (TX
+        events and timers never share a fire time: I/O latency is
+        microseconds, timeouts are 100 us and up).
         """
         now = self.sim.now
         host = self.host
@@ -466,7 +454,6 @@ class SwitchMLWorker:
         phantom = self._phantom
         tensor = self._tensor
         k = self.k
-        burst = self._burst
         slot_buf = self._slot_buf
         slot_frame = self._slot_frame
         slot_off = self._slot_off
@@ -510,8 +497,7 @@ class SwitchMLWorker:
         slot_off[idx_a] = np.fromiter((it[2] for it in items), dtype=np.int64, count=n)
         slot_ver[idx_a] = ver_a
         next_ver[idx_a] = 1 - ver_a
-        if burst:
-            slot_outstanding[idx_a] = True
+        slot_outstanding[idx_a] = True
         slot_sent_at[idx_a] = now
         slot_retransmitted[idx_a] = False
         slot_retries[idx_a] = 0
@@ -535,29 +521,12 @@ class SwitchMLWorker:
             tick = self.trace.tick
             for _ in range(n):
                 tick("sent", now)
-        if self._trace_packets and self._tracer.enabled:
-            emit = self._tracer.emit
-            for idx, ver, off in items:
-                emit(
-                    "packet.tx", now, cat="packet", actor=self._actor,
-                    slot=idx, ver=ver, off=off,
-                )
-        cap = self.train_cap
-        if cap and n > cap:
-            for s0 in range(0, n, cap):
-                host.send_train(frames[s0 : s0 + cap])
-        else:
-            host.send_train(frames)
+        host.send_train(frames)
         if not arm:
             return
-        if burst:
-            arm_deadline = self._arm_deadline
-            for idx, _ver, _off in items:
-                arm_deadline(idx)
-        else:
-            arm_timer = self._arm_timer
-            for idx, _ver, _off in items:
-                arm_timer(idx)
+        arm_deadline = self._arm_deadline
+        for idx, _ver, _off in items:
+            arm_deadline(idx)
 
     def current_timeout(self) -> float:
         """The retransmission timeout in force right now.
@@ -966,7 +935,7 @@ class SwitchMLWorker:
         if total_packets == 0:
             self._finish()
             return
-        if self._train and active_slots > 1:
+        if self._burst and active_slots > 1:
             self._send_chunks(
                 [
                     (i, int(self._next_ver[i]), offset_elements + self.k * i)
@@ -1172,7 +1141,7 @@ class SwitchMLWorker:
             # batch timer math: send the frames without arming, then
             # compute every deadline in one vector op and re-arm the
             # singleton once
-            if self._train and send_pos.size > 1:
+            if send_pos.size > 1:
                 self._send_chunks(
                     [
                         (int(si[j]), 1 - int(ver_a[acc[j]]), int(next_off[j]))
@@ -1199,7 +1168,7 @@ class SwitchMLWorker:
             dmin = float(deadlines.min())
             if dmin < self._deadline_armed_at:
                 self._rearm_singleton(dmin)
-        elif self._train and send_pos.size > 1:
+        elif send_pos.size > 1:
             self._send_chunks(
                 [
                     (int(si[j]), 1 - int(ver_a[acc[j]]), int(next_off[j]))

@@ -46,8 +46,8 @@ class RegisterArray:
         ``uint16`` NumPy array instead of a Python list.  Scalar access
         is a few times slower than a list index, but the storage can be
         operated on *vectorially* (whole-batch bitmap updates, grouped
-        counter advances) and handed to a compiled kernel as a raw
-        buffer -- the trade the batch-granularity switch program makes.
+        counter advances) -- the trade the batch-granularity switch
+        program makes.
     """
 
     _DTYPES = {32: np.int32, 64: np.int64}

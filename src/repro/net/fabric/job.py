@@ -72,15 +72,26 @@ class FabricConfig:
     link_down_after_s: float = 1e-3
     budget_fraction: float = 0.10
     obs: "Observability | None" = None
-    #: frame-train egress on the workers: each window of chunk sends
-    #: leaves the host as one train event instead of one event per frame
-    #: (the fabric's switches run the per-frame pipeline, so this batches
-    #: the TX side only).  Bit-identical schedule -- see
-    #: tests/integration/test_train_equivalence.py.
-    train_egress: bool = False
-    #: split worker trains longer than this many frames; 0 = unlimited
-    train_cap: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject out-of-domain values at construction (see
+        :meth:`repro.core.job.SwitchMLConfig.__post_init__`)."""
+        for name in ("num_leaves", "num_spines", "workers_per_leaf",
+                     "pool_size", "elements_per_packet", "bytes_per_element"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("timeout_s", "probe_interval_s", "link_down_after_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)!r}"
+                )
+        if self.pipeline_latency_s < 0:
+            raise ValueError("pipeline_latency_s must be non-negative")
+        if self.max_retries is not None and self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative (or None)")
+        if not 0 < self.budget_fraction <= 1:
+            raise ValueError("budget_fraction must be in (0, 1]")
 
     @property
     def num_workers(self) -> int:
@@ -177,8 +188,6 @@ class FabricJob:
                     member_id=gwid,
                     obs=self.obs,
                     switch_addr=leaf.switch.name,
-                    train_egress=cfg.train_egress,
-                    train_cap=cfg.train_cap,
                 )
                 host.attach_agent(worker)
                 self.workers.append(worker)

@@ -216,57 +216,8 @@ class Host:
     # Burst-granularity receive path
     # ------------------------------------------------------------------
     def deliver_burst(self, frame: Frame) -> None:
-        """Burst-mode downlink terminus: identical core accounting to
-        :meth:`deliver`, but frames whose dispatch times coincide are
-        buffered under that timestamp and handed to the agent in one
-        ``on_frames`` call (DPDK's RX burst).  Wired instead of
-        :meth:`deliver` by the job when ``granularity="burst"``; the
-        packet-mode path carries no extra branch.
-        """
-        core = self.cores[frame.flow_key % self._ncores]
-        uplink = self.uplink
-        cache = self._lat_cache
-        if uplink is not None and cache[0] is self._spec and cache[1] is uplink._spec:
-            latency = cache[2].get(frame.wire_bytes)
-            if latency is None:
-                latency = self._io_latency(frame)
-        else:
-            latency = self._io_latency(frame)
-        sim = self.sim
-        now = sim.now
-        busy = core.busy_until
-        cost = self._rx_cost
-        finish = (busy if busy > now else now) + cost
-        core.busy_until = finish
-        core.jobs_served += 1
-        core.busy_time += cost
-        # run detection (see Link.send's burst branch): coinciding
-        # dispatch times extend the open group; a nonzero per-frame RX
-        # cost spaces same-core frames apart, so ties only form across
-        # cores or with a zero-cost spec -- missing one costs an event,
-        # not correctness
-        t = finish + latency
-        eps = self.burst_epsilon
-        if eps > 0.0:
-            # epsilon window: dispatches in [t0, t0 + eps] of the open
-            # group join its drain (scheduled at t0 + eps); the drain
-            # clears the group ref so late frames open a fresh window
-            group = self._rx_group
-            t0 = self._rx_t
-            if group is not None and t0 <= t <= t0 + eps:
-                group.append((t, frame))
-            else:
-                self._rx_group = group = [(t, frame)]
-                self._rx_t = t
-                self._schedule_call_at(t + eps, self._dispatch_window, group)
-            return
-        group = self._rx_group
-        if group is not None and t == self._rx_t:
-            group.append(frame)
-        else:
-            self._rx_group = group = [frame]
-            self._rx_t = t
-            self._schedule_call_at(t, self._dispatch_burst, group)
+        """Single-frame form of :meth:`deliver_burst_many`."""
+        self.deliver_burst_many([frame])
 
     def _dispatch_burst(self, frames: list[Frame]) -> None:
         """Hand one coinciding-dispatch group to the agent.
@@ -311,14 +262,21 @@ class Host:
         self._dispatch_burst([frame for _, frame in pairs])
 
     def deliver_burst_many(self, frames: list[Frame]) -> None:
-        """Batched :meth:`deliver_burst`: one call per link drain group.
+        """Burst-mode downlink terminus: one call per link drain group.
 
-        Wired as the downlink's ``deliver_many`` callback.  Behaviorally
-        identical to calling :meth:`deliver_burst` once per frame in
-        order -- no event fires between the iterations, so the core
-        accounting, RX-group membership, and scheduled drains come out
-        the same; the loop just hoists the per-frame attribute lookups
-        and the callback invocation itself.
+        Wired as the downlink's ``deliver_many`` callback by the job when
+        ``granularity="burst"`` (the packet-mode :meth:`deliver` carries
+        no extra branch).  Core accounting is identical to one
+        :meth:`deliver` call per frame, but frames whose dispatch times
+        coincide are buffered under that timestamp and handed to the
+        agent in one ``on_frames`` call (DPDK's RX burst).  Grouping is
+        run detection: coinciding dispatch times extend the open group;
+        a nonzero per-frame RX cost spaces same-core frames apart, so
+        ties only form across cores or with a zero-cost spec -- missing
+        one costs an event, not correctness.  With a positive
+        :attr:`burst_epsilon`, dispatches in ``[t0, t0 + eps]`` of the
+        open group join its drain (scheduled at ``t0 + eps``); the drain
+        clears the group ref so late frames open a fresh window.
         """
         cores = self.cores
         ncores = self._ncores

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.packet import Frame
 from repro.sim.engine import Simulator
@@ -25,29 +23,6 @@ __all__ = ["Link", "LinkSpec", "LinkStats"]
 #: block size of the inlined Bernoulli draw buffer; must match
 #: BernoulliLoss._BLOCK so draw alignment survives path rebinds
 _BERN_BLOCK = BernoulliLoss._BLOCK
-
-#: compiled send-body kernel, resolved lazily (the import reaches into
-#: repro.core, which imports this module -- resolving at first use
-#: instead of import time breaks the cycle).  False = not yet resolved.
-_TRAIN_KERNEL: Any = False
-
-#: placeholder block for kernel calls that take no draws (loss_p == 0)
-#: or enter with a spent buffer (u_len=0 makes the kernel return
-#: immediately so the caller refills)
-_NO_U = np.zeros(1, dtype=np.float64)
-
-
-def _link_kernel() -> Any:
-    global _TRAIN_KERNEL
-    if _TRAIN_KERNEL is False:
-        try:
-            from repro.core.backend import load_link_kernel
-
-            _TRAIN_KERNEL = load_link_kernel()
-        except Exception:
-            _TRAIN_KERNEL = None
-    return _TRAIN_KERNEL
-
 
 @dataclass
 class LinkSpec:
@@ -236,12 +211,13 @@ class Link:
         deliver: Callable[[Frame], Any],
         deliver_many: Callable[[list[Frame]], Any] | None = None,
     ) -> None:
-        """Set the receiver callback.
+        """Set the receiver callbacks.
 
-        ``deliver_many``, when given, takes a whole coinciding-arrival
-        group in one call; it must be behaviorally identical to calling
-        ``deliver`` once per frame in order (the burst drains use it to
-        skip the per-frame callback overhead).
+        ``deliver_many`` takes a whole coinciding-arrival group in one
+        call; it must be behaviorally identical to calling ``deliver``
+        once per frame in order.  Burst links (:attr:`burst`) deliver
+        through it exclusively, so they need one; packet-mode links
+        only ever call ``deliver``.
         """
         self._deliver = deliver
         self._deliver_many = deliver_many
@@ -436,32 +412,21 @@ class Link:
         Returns the number of frames accepted (= ``len(pairs)`` minus
         queue tail-drops, mirroring :meth:`send`'s return value).
         """
+        records, accepted = self.send_bodies(pairs)
         if self.burst and self.burst_epsilon > 0.0:
-            # epsilon-window fast path: the window logic keys on each
-            # frame's *arrival* value only, so the appends can run here
-            # instead of at the submit times -- no cursor, no dispatch
-            # events at all.  The one observable difference from the
-            # per-frame schedule: a group stays joinable until its drain
-            # *fires*, so a frame whose submit falls after the drain
-            # instant joins early here where the per-frame path would
-            # open a fresh window.  Positive epsilon is already
+            # epsilon-window fold: the window logic keys on each frame's
+            # *arrival* value only, so the appends can run here instead
+            # of at the submit times -- no cursor, no dispatch events at
+            # all.  The one observable difference from the per-frame
+            # schedule: a group stays joinable until its drain *fires*,
+            # so a frame whose submit falls after the drain instant
+            # joins early here where the per-frame path would open a
+            # fresh window.  Positive epsilon is already
             # protocol-equivalent-not-bit-exact (see the interleaving
             # note above); epsilon = 0 keeps the exact deferred dispatch
             # below.
-            if (
-                self._queue_bytes is None
-                and self.observer is None
-                and self.telemetry is None
-                and self._corrupt_p == 0.0
-                and self._jitter_s == 0.0
-                and (self._bern is not None or self._lossless)
-            ):
-                self._send_train_window_fused(pairs)
-                return len(pairs)
-            records, accepted = self.send_bodies(pairs)
             self.dispatch_window_records(records)
             return accepted
-        records, accepted = self.send_bodies(pairs)
         dispatch = [r for r in records if r is not None]
         n = len(dispatch)
         if n:
@@ -487,8 +452,8 @@ class Link:
 
         Only valid on a burst link with a positive ``burst_epsilon`` --
         the batched form of :meth:`_dispatch_one`'s window branch, with
-        the group state hoisted out of the per-frame loop.  Used by the
-        :meth:`send_train` fast path and the chassis egress fan-out
+        the group state hoisted out of the per-frame loop.  Used by
+        :meth:`send_train` and the chassis egress fan-out
         (which at positive epsilon needs no cross-link delivery-order
         interleaving: appends to different links' windows commute, and
         entries are only created when a window opens, at arrival-derived
@@ -511,69 +476,6 @@ class Link:
                 self._arrive_group = group
                 self._arrive_t = t0
                 schedule(t0 + eps, drain, group)
-
-    def _send_train_window_fused(self, pairs: list[tuple[float, Frame]]) -> None:
-        """Fused clean-link body sweep + epsilon-window fold.
-
-        One pass over ``pairs`` doing what :meth:`send_bodies` followed
-        by :meth:`dispatch_window_records` would do, without building
-        the intermediate record list -- valid only for the
-        configuration the caller checked (burst with a positive window,
-        no queue cap, no corruption, no jitter, no observer/telemetry,
-        Bernoulli-or-no loss).  Interleaving each frame's window fold
-        with its send body is unobservable: the body phase touches only
-        the RNG stream and link counters, the fold only the group state,
-        and no event can fire inside this call.
-        """
-        stats = self.stats
-        rng = self._rng
-        rate = self._rate_bps
-        prop = self._prop_s
-        bern = self._bern
-        p = bern.probability if bern is not None else 0.0
-        busy = self._busy_until
-        busy_time = stats.busy_time
-        u_i = self._u_i
-        u_buf = self._u_buf
-        lost = 0
-        bytes_sent = 0
-        eps = self.burst_epsilon
-        group = self._arrive_group
-        t0 = self._arrive_t
-        schedule = self._schedule_call_at
-        drain = self._drain_window
-        for t, frame in pairs:
-            wire_bytes = frame.wire_bytes
-            serialization = wire_bytes * 8.0 / rate
-            done = (busy if busy > t else t) + serialization
-            busy = done
-            bytes_sent += wire_bytes
-            busy_time += serialization
-            if p != 0.0:
-                if u_buf is None or u_i >= _BERN_BLOCK:
-                    u_buf = rng.random(_BERN_BLOCK).tolist()
-                    u_i = 0
-                u = u_buf[u_i]
-                u_i += 1
-                if u < p:
-                    lost += 1
-                    continue
-            arrival = done + prop
-            if group is not None and t0 <= arrival <= t0 + eps:
-                group.append((arrival, frame))
-            else:
-                group = [(arrival, frame)]
-                t0 = arrival
-                self._arrive_group = group
-                self._arrive_t = t0
-                schedule(t0 + eps, drain, group)
-        self._busy_until = busy
-        self._u_i = u_i
-        self._u_buf = u_buf
-        stats.busy_time = busy_time
-        stats.frames_sent += len(pairs)
-        stats.frames_lost += lost
-        stats.bytes_sent += bytes_sent
 
     def send_bodies(
         self, pairs: list[tuple[float, Frame]]
@@ -617,78 +519,6 @@ class Link:
         # while the bodies run
         u_i = self._u_i
         u_buf = self._u_buf
-
-        if (
-            queue_bytes is None
-            and observer is None
-            and tap is None
-            and corrupt_p == 0.0
-            and jit == 0.0
-            and (bern is not None or lossless)
-            and len(pairs) >= 64
-        ):
-            # below ~64 frames the ctypes marshalling (ndpointer checks,
-            # fromiter, scratch arrays) costs more than the loop it
-            # replaces; steady-state windows here are ~25 frames, so the
-            # kernel effectively serves the pool-sized opening trains
-            kernel = _link_kernel()
-            if kernel is not None:
-                # compiled body sweep: same float ops in the same order
-                # as the loop below (see repro.core.backend), covering
-                # the clean-link common case -- no queue cap, no
-                # corruption, no jitter, no per-frame observer/tap
-                n = len(pairs)
-                t_arr = np.fromiter((p[0] for p in pairs), dtype=np.float64, count=n)
-                wb_arr = np.fromiter(
-                    (p[1].wire_bytes for p in pairs), dtype=np.int64, count=n
-                )
-                p_loss = bern.probability if bern is not None else 0.0
-                arrival = np.empty(n, dtype=np.float64)
-                ok = np.empty(n, dtype=np.int8)
-                fstate = np.array([busy, stats.busy_time], dtype=np.float64)
-                istate = np.array(
-                    [u_i if u_buf is not None else _BERN_BLOCK], dtype=np.int64
-                )
-                train_bodies = kernel.train_bodies
-                # the block buffer is kept as a plain list elsewhere (the
-                # per-draw paths index it); the kernel wants contiguous
-                # doubles, so convert at the boundary -- same bits either
-                # way, and this path only runs for >=64-frame trains
-                u_np = (
-                    np.array(u_buf, dtype=np.float64)
-                    if u_buf is not None
-                    else None
-                )
-                i = 0
-                while True:
-                    buf = u_np if u_np is not None else _NO_U
-                    ulen = _BERN_BLOCK if u_np is not None else 0
-                    i = train_bodies(
-                        n, i, t_arr, wb_arr, rate, prop, p_loss,
-                        buf, ulen, arrival, ok, fstate, istate,
-                    )
-                    if i >= n:
-                        break
-                    # block spent mid-train: refill exactly as the
-                    # per-frame draw would have, re-enter at frame i
-                    u_np = rng.random(_BERN_BLOCK)
-                    istate[0] = 0
-                self._busy_until = float(fstate[0])
-                stats.busy_time = float(fstate[1])
-                if u_np is not None:
-                    # only when draws ran: a lossless sweep leaves the
-                    # cursor exactly as the per-frame path would
-                    self._u_i = int(istate[0])
-                    self._u_buf = u_np.tolist()
-                records = [
-                    (pair[0], a, pair[1]) if okj else None
-                    for pair, a, okj in zip(pairs, arrival.tolist(), ok.tolist())
-                ]
-                delivered = int(np.count_nonzero(ok))
-                stats.frames_sent += n
-                stats.frames_lost += n - delivered
-                stats.bytes_sent += int(wb_arr.sum())
-                return records, n
 
         records: list[tuple[float, float, Frame] | None] = []
 
@@ -832,9 +662,9 @@ class Link:
         """Deliver one coinciding-arrival group (burst granularity).
 
         Per-frame stats and observer calls match :meth:`_arrive`; the
-        receiver sees the frames one at a time in send order, at the
-        same ``sim.now`` -- downstream burst endpoints re-group them
-        under that timestamp anyway.
+        receiver's ``deliver_many`` gets the group in send order, at the
+        same ``sim.now`` -- exactly what per-frame ``deliver`` calls
+        would have seen.
         """
         if frames is self._arrive_group:
             self._arrive_group = None
@@ -845,13 +675,7 @@ class Link:
             t = self.sim.now
             for frame in frames:
                 observer(frame, "delivered", t)
-        deliver_many = self._deliver_many
-        if deliver_many is not None:
-            deliver_many(frames)
-            return
-        deliver = self._deliver
-        for frame in frames:
-            deliver(frame)
+        self._deliver_many(frames)
 
     def _drain_window(self, pairs: list[tuple[float, Frame]]) -> None:
         """Deliver one epsilon-window group at ``t0 + eps``.
@@ -871,13 +695,7 @@ class Link:
             t = self.sim.now
             for _, frame in pairs:
                 observer(frame, "delivered", t)
-        deliver_many = self._deliver_many
-        if deliver_many is not None:
-            deliver_many([frame for _, frame in pairs])
-            return
-        deliver = self._deliver
-        for _, frame in pairs:
-            deliver(frame)
+        self._deliver_many([frame for _, frame in pairs])
 
     # ------------------------------------------------------------------
     @property

@@ -114,15 +114,6 @@ class SwitchChassis:
         #: mode).  Engine time is monotone at ingress, so within-group
         #: arrival order needs no sort either way.
         self.burst_epsilon = 0.0
-        #: frame-train egress (set by the job alongside burst wiring):
-        #: a burst drain's deliveries are grouped per egress port and
-        #: leave through one :meth:`Link.send_train` call per port --
-        #: every frame submits at the drain's ``sim.now``, exactly when
-        #: the per-frame loop would have called ``send``, so per-link
-        #: frame order, busy chains, and RNG draw order are unchanged
-        self.train_egress = False
-        #: longest per-port train sent in one piece; 0 = unlimited
-        self.train_cap = 0
         # the loaded program's batch entry point, cached by load_program
         self._process_batch: Callable | None = None
         #: in-band telemetry tap (repro.obs.telemetry.ChassisTap),
@@ -214,63 +205,26 @@ class SwitchChassis:
     # Burst granularity
     # ------------------------------------------------------------------
     def burst_ingress_callback(self, in_port: int):
-        """Burst-granularity ``deliver(frame)`` closure for ``in_port``.
-
-        Frames arriving at the same instant -- across *all* ports -- are
-        buffered under their exact arrival timestamp, and one pipeline
-        drain event (scheduled by the first arrival of the group) hands
-        the whole group to the program at ``t + pipeline_latency_s``:
-        the same time each frame's individual pipeline completion would
-        have fired in packet mode, with within-group arrival order
-        preserved.  Wired instead of :meth:`ingress_callback` by the job
-        when ``granularity="burst"`` so the packet-mode path carries no
-        extra branch.
-        """
-        sim = self.sim
-        schedule_call = self._schedule_call
-
-        def deliver(frame: Frame) -> None:
-            if self.program is None:
-                raise RuntimeError(f"{self.name}: no dataplane program loaded")
-            self.frames_in += 1
-            t = sim.now
-            eps = self.burst_epsilon
-            group = self._in_group
-            if eps > 0.0:
-                # epsilon window: arrivals in [t0, t0 + eps] of the open
-                # group ride its drain (already scheduled at t0 + eps +
-                # pipeline latency); the drain clears the group ref
-                if group is not None and self._in_t <= t <= self._in_t + eps:
-                    group.append((frame, in_port))
-                else:
-                    self._in_group = group = [(frame, in_port)]
-                    self._in_t = t
-                    schedule_call(
-                        eps + self.pipeline_latency_s,
-                        self._run_pipeline_burst,
-                        group,
-                    )
-                return
-            if group is not None and t == self._in_t:
-                group.append((frame, in_port))
-            else:
-                self._in_group = group = [(frame, in_port)]
-                self._in_t = t
-                schedule_call(
-                    self.pipeline_latency_s, self._run_pipeline_burst, group
-                )
-
-        return deliver
+        """Single-frame form of :meth:`burst_ingress_many_callback`."""
+        deliver_many = self.burst_ingress_many_callback(in_port)
+        return lambda frame: deliver_many([frame])
 
     def burst_ingress_many_callback(self, in_port: int):
-        """Batched companion to :meth:`burst_ingress_callback`.
+        """Burst-granularity ``deliver_many(frames)`` closure for ``in_port``.
 
-        Wired as the uplink's ``deliver_many``: one call takes a whole
-        link drain group, all sharing the drain's ``sim.now``.  Because
-        the timestamps are identical, replaying the per-frame closure
-        would test the group window once and then append -- this does
-        exactly that, without the per-frame calls, so group membership
-        and drain scheduling are unchanged.
+        Wired as the uplink's ``deliver_many`` by the job when
+        ``granularity="burst"`` (the packet-mode path carries no extra
+        branch).  One call takes a whole link drain group, all sharing
+        the drain's ``sim.now``.  Frames arriving at the same instant --
+        across *all* ports -- are buffered under their exact arrival
+        timestamp, and one pipeline drain event (scheduled by the first
+        arrival of the group) hands the whole group to the program at
+        ``t + pipeline_latency_s``: the same time each frame's
+        individual pipeline completion would have fired in packet mode,
+        with within-group arrival order preserved.  With a positive
+        :attr:`burst_epsilon`, arrivals in ``[t0, t0 + eps]`` of the
+        open group ride its drain (scheduled at ``t0 + eps + pipeline
+        latency``); the drain clears the group ref.
         """
         sim = self.sim
         schedule_call = self._schedule_call
@@ -331,89 +285,57 @@ class SwitchChassis:
         egress_list = self._egress_list
         nports = len(egress_list)
         forwarded: set[int] | None = set() if tap is not None else None
-        if self.train_egress:
-            # Group the drain's deliveries per egress port and run each
-            # port's send bodies as one batch (identical per-link frame
-            # order to the per-frame loop -- the port-major processing
-            # only batches disjoint links).  Dispatch, however, must
-            # happen in the original cross-link delivery order: arrival
-            # entries for different downlinks can tie at the same
-            # instant, and their creation order is the tie-break the
-            # per-frame loop would have produced.
-            now = self.sim.now
-            by_port: dict[int, list[tuple[float, Frame]]] = {}
-            # when every egress link runs an epsilon window, appends to
-            # different links' windows commute -- the cross-link
-            # delivery order never needs replaying, so skip recording it
-            eps_fast = all(
-                e is None or (e.burst and e.burst_epsilon > 0.0)
-                for e in egress_list
-            )
-            order: list[int] | None = None if eps_fast else []
-            for decision in decisions:
-                deliveries = decision.deliveries
-                self.frames_out += len(deliveries)
-                for port, out_frame in deliveries:
-                    if forwarded is not None:
-                        forwarded.add(id(out_frame))
-                    if order is not None:
-                        order.append(port)
-                    pairs = by_port.get(port)
-                    if pairs is None:
-                        by_port[port] = [(now, out_frame)]
-                    else:
-                        pairs.append((now, out_frame))
-            cap = self.train_cap
-            for port in by_port:
-                egress = egress_list[port] if 0 <= port < nports else None
-                if egress is None:
-                    raise RuntimeError(
-                        f"{self.name}: no egress link on port {port}"
-                    )
-            if eps_fast:
-                # each port's whole batch folds into its link's window
-                # with no cross-link interleaving; send_train takes the
-                # fused body+fold path on clean links
-                for port, pairs in by_port.items():
-                    egress = egress_list[port]
-                    if cap and len(pairs) > cap:
-                        for s0 in range(0, len(pairs), cap):
-                            egress.send_train(pairs[s0 : s0 + cap])
-                    else:
-                        egress.send_train(pairs)
-            else:
-                cursors: dict[int, Any] = {}
-                for port, pairs in by_port.items():
-                    egress = egress_list[port]
-                    if cap and len(pairs) > cap:
-                        records: list = []
-                        for s0 in range(0, len(pairs), cap):
-                            records.extend(
-                                egress.send_bodies(pairs[s0 : s0 + cap])[0]
-                            )
-                    else:
-                        records = egress.send_bodies(pairs)[0]
-                    cursors[port] = iter(records)
-                for port in order:
-                    rec = next(cursors[port])
-                    if rec is not None:
-                        # all submits are at this drain's instant, so the
-                        # dispatch runs inline (same as the per-frame
-                        # tail)
-                        egress_list[port]._dispatch_one(rec)
+        # Frame-train egress: group the drain's deliveries per egress
+        # port and run each port's send bodies as one batch.  Every frame
+        # submits at the drain's ``sim.now``, exactly when the per-frame
+        # loop would have called ``send``, so per-link frame order, busy
+        # chains, and RNG draw order are unchanged (the port-major
+        # processing only batches disjoint links).  Dispatch, however,
+        # must happen in the original cross-link delivery order: arrival
+        # entries for different downlinks can tie at the same instant,
+        # and their creation order is the tie-break the per-frame loop
+        # would have produced.
+        now = self.sim.now
+        by_port: dict[int, list[tuple[float, Frame]]] = {}
+        # when every egress link runs an epsilon window, appends to
+        # different links' windows commute -- the cross-link delivery
+        # order never needs replaying, so skip recording it
+        eps_fast = all(
+            e is None or (e.burst and e.burst_epsilon > 0.0) for e in egress_list
+        )
+        order: list[int] | None = None if eps_fast else []
+        for decision in decisions:
+            deliveries = decision.deliveries
+            self.frames_out += len(deliveries)
+            for port, out_frame in deliveries:
+                if forwarded is not None:
+                    forwarded.add(id(out_frame))
+                if order is not None:
+                    order.append(port)
+                pairs = by_port.get(port)
+                if pairs is None:
+                    by_port[port] = [(now, out_frame)]
+                else:
+                    pairs.append((now, out_frame))
+        for port in by_port:
+            if not 0 <= port < nports or egress_list[port] is None:
+                raise RuntimeError(f"{self.name}: no egress link on port {port}")
+        if eps_fast:
+            # each port's whole batch folds into its link's window with
+            # no cross-link interleaving
+            for port, pairs in by_port.items():
+                egress_list[port].send_train(pairs)
         else:
-            for decision in decisions:
-                deliveries = decision.deliveries
-                self.frames_out += len(deliveries)
-                for port, out_frame in deliveries:
-                    egress = egress_list[port] if 0 <= port < nports else None
-                    if egress is None:
-                        raise RuntimeError(
-                            f"{self.name}: no egress link on port {port}"
-                        )
-                    if forwarded is not None:
-                        forwarded.add(id(out_frame))
-                    egress.send(out_frame)
+            cursors = {
+                port: iter(egress_list[port].send_bodies(pairs)[0])
+                for port, pairs in by_port.items()
+            }
+            for port in order:
+                rec = next(cursors[port])
+                if rec is not None:
+                    # all submits are at this drain's instant, so the
+                    # dispatch runs inline (same as the per-frame tail)
+                    egress_list[port]._dispatch_one(rec)
         if tap is not None:
             for frame, _port in group:
                 if frame.hops is not None and id(frame) not in forwarded:

@@ -39,10 +39,8 @@ _FIG4_ELEMENTS = 32 * 8192
 
 def _fig4_config(
     loss: float,
-    scheduler: str = "wheel",
     granularity: str = "packet",
     burst_epsilon: float = 0.0,
-    train_egress: bool = False,
 ) -> SwitchMLConfig:
     factory = (lambda: BernoulliLoss(loss)) if loss > 0.0 else NoLoss
     return SwitchMLConfig(
@@ -51,10 +49,8 @@ def _fig4_config(
         elements_per_packet=32,
         seed=7,
         loss_factory=factory,
-        scheduler=scheduler,
         granularity=granularity,
         burst_epsilon=burst_epsilon,
-        train_egress=train_egress,
     )
 
 
@@ -72,9 +68,6 @@ def _run_job(cfg: SwitchMLConfig, num_elements: int) -> dict[str, Any]:
             s.tensor_aggregation_time for s in res.worker_stats
         ),
     }
-    program = getattr(job, "program", None)
-    if program is not None and hasattr(program, "backend"):
-        extra["backend"] = program.backend
     return {
         "wall_s": wall,
         "events": events,
@@ -101,7 +94,7 @@ def fig4_lossy_burst(scale: float = 1.0) -> dict[str, Any]:
     Same protocol run (identical results, retransmission counts, and
     TATs -- the equivalence tests assert it), but simultaneous arrivals
     drain through one engine event and the switch's vectorized batch
-    handler.  ``events`` is smaller than packet mode's by construction,
+    handler, and outbound frames leave as frame trains.  ``events`` is smaller than packet mode's by construction,
     so events/sec is NOT comparable across granularities: compare
     ``wall_s`` and ``packets_per_s`` instead (the fingerprint extras
     stay comparable).
@@ -120,41 +113,23 @@ def fig4_clean_burst(scale: float = 1.0) -> dict[str, Any]:
     )
 
 
-def fig4_lossy_burst_eps(scale: float = 1.0) -> dict[str, Any]:
+def fig4_lossy_train(scale: float = 1.0) -> dict[str, Any]:
     """:func:`fig4_lossy_burst` with a 20 us epsilon coalescing window.
 
     The window lets burst mode merge near-simultaneous arrivals (not
-    just exact ties) into one drain, so the vectorized batch bodies see
-    batches big enough to pay off.  eps=20 us is several RTTs but far
-    below the 1 ms retransmission timeout: the run is
+    just exact ties) into one drain, so the vectorized batch bodies and
+    frame trains see batches big enough to pay off: worker chunk groups
+    leave through one :meth:`~repro.net.host.Host.send_train` call, and
+    the switch fans each drain out through per-port batched send bodies
+    folded straight into the links' windows.  eps=20 us is several RTTs
+    but far below the 1 ms retransmission timeout: the run is
     protocol-equivalent, NOT schedule-identical -- results and recovery
     behavior match, but per-packet timings shift by up to eps per hop,
-    which shows up as an additive ``max_tat_s`` inflation of roughly
-    rounds x hops x eps (~3x here; see docs/PERFORMANCE.md).  Compare
-    ``wall_s``/``packets_per_s`` against fig4_lossy for the speedup.
+    which shows up as an additive ``max_tat_s`` inflation (see
+    docs/PERFORMANCE.md).  Compare ``wall_s`` against fig4_lossy.
     """
     return _run_job(
         _fig4_config(loss=0.01, granularity="burst", burst_epsilon=2e-5),
-        max(256, int(_FIG4_ELEMENTS * scale)),
-    )
-
-
-def fig4_lossy_train(scale: float = 1.0) -> dict[str, Any]:
-    """:func:`fig4_lossy_burst_eps` with frame-train egress on top.
-
-    The full batched TX path: worker chunk groups leave through one
-    :meth:`~repro.net.host.Host.send_train` call (one dispatch cursor
-    instead of one engine event per frame), and the switch fans each
-    drain out through per-port batched send bodies.  At eps=0 the train
-    path is bit-identical to per-frame sends (the equivalence tests pin
-    it); at this workload's 20 us window it inherits burst_eps's
-    protocol-equivalent-not-schedule-identical caveat.  This is the
-    headline egress workload: compare ``wall_s`` against fig4_lossy.
-    """
-    return _run_job(
-        _fig4_config(
-            loss=0.01, granularity="burst", burst_epsilon=2e-5, train_egress=True
-        ),
         max(256, int(_FIG4_ELEMENTS * scale)),
     )
 
@@ -287,7 +262,6 @@ def core_scaling(scale: float = 1.0) -> dict[str, Any]:
             pool_size=128,
             elements_per_packet=32,
             seed=7,
-            scheduler="wheel",
         )
         m = _run_job(cfg, elements)
         sweep[str(n)] = {
@@ -313,7 +287,6 @@ WORKLOADS: dict[str, Callable[[float], dict[str, Any]]] = {
     "fig4_clean": fig4_clean,
     "fig4_lossy_burst": fig4_lossy_burst,
     "fig4_clean_burst": fig4_clean_burst,
-    "fig4_lossy_burst_eps": fig4_lossy_burst_eps,
     "fig4_lossy_train": fig4_lossy_train,
     "fig4_telemetry": fig4_telemetry,
     "engine_churn": engine_churn,

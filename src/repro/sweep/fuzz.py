@@ -8,7 +8,7 @@ Each fuzz draw:
 
 1. deterministically generates a scenario from its seed -- a domain
    (flat rack / controller-managed rack / Clos fabric), protocol knobs
-   (loss, jitter, granularity, epsilon window, backend, stragglers),
+   (loss, jitter, granularity, epsilon window, stragglers),
    and a random :class:`FaultPlan` / :class:`FabricFaultPlan`;
 2. runs it and asserts the tier-1 invariants
    (:mod:`repro.sweep.invariants`): exact sums, bounded recovery,
@@ -100,21 +100,11 @@ def _draw_flat(rng: np.random.Generator) -> dict[str, Any]:
         "jitter_us": float([0.0, 0.0, 2.0][int(rng.integers(3))]),
         "granularity": granularity,
         "burst_epsilon": 0.0,
-        "backend": "numpy",
     }
     if granularity == "burst":
         knobs["burst_epsilon"] = float(
             [0.0, 5e-6, 2e-5][int(rng.integers(3))]
         )
-        # "c" falls back to numpy without a compiler -- bit-equivalent
-        # either way (the lockstep equivalence suite is the contract),
-        # so draws stay machine-independent
-        knobs["backend"] = ["numpy", "c"][int(rng.integers(2))]
-        # frame-train egress x epsilon x backend interplay (ISSUE 10):
-        # train on/off over every epsilon and backend combination, with
-        # the cap split exercised at a short and an odd length
-        knobs["train_egress"] = bool(rng.integers(2))
-        knobs["train_cap"] = int([0, 0, 3, 17][int(rng.integers(4))])
     # stragglers: skewed gradient availability at some workers
     if rng.random() < 0.3:
         knobs["start_times_us"] = [
@@ -170,9 +160,6 @@ def _draw_fabric(rng: np.random.Generator) -> dict[str, Any]:
         "pool": 16,
         "elements": 32 * 120,
         "loss": float([0.0, 0.0, 0.01][int(rng.integers(3))]),
-        # worker-side frame trains over the fabric ingest path
-        "train_egress": bool(rng.integers(2)),
-        "train_cap": int([0, 0, 5][int(rng.integers(3))]),
     }
     faults: list[dict[str, Any]] = []
     # at most spines-1 spine crashes: some spine must survive to home
@@ -263,9 +250,6 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
         granularity=str(knobs.get("granularity", "packet")),
         burst_epsilon=float(knobs.get("burst_epsilon", 0.0)),
-        backend=knobs.get("backend"),
-        train_egress=bool(knobs.get("train_egress", False)),
-        train_cap=int(knobs.get("train_cap", 0)),
         obs=obs,
         seed=int(draw["run_seed"]),
     )
@@ -296,7 +280,6 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
             "retransmissions": int(res.retransmissions),
             "frames_lost": int(res.frames_lost),
             "max_tat_s": float(res.max_tat) if res.completed else None,
-            "backend": getattr(job.program, "backend", "numpy"),
         },
     }
 
@@ -383,8 +366,6 @@ def _run_fabric(draw: dict[str, Any]) -> dict[str, Any]:
             workers_per_leaf=int(knobs["workers_per_leaf"]),
             pool_size=int(knobs["pool"]),
             loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-            train_egress=bool(knobs.get("train_egress", False)),
-            train_cap=int(knobs.get("train_cap", 0)),
             obs=obs,
             seed=int(draw["run_seed"]),
         )

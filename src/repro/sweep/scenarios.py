@@ -55,8 +55,8 @@ def protocol_fingerprint(result: Any) -> dict[str, Any]:
     """Protocol-level observables of an :class:`AllReduceResult`.
 
     Bit-identical across ``granularity="packet"`` vs ``"burst"`` at
-    epsilon 0 and across ``backend="numpy"`` vs ``"c"`` -- the
-    equivalence contract the cross-config determinism tests pin down.
+    epsilon 0 -- the equivalence contract the cross-config determinism
+    tests pin down.
     """
     first = next((r for r in result.results if r is not None), None)
     return {
@@ -85,7 +85,7 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
     """One all-reduce on the paper's Figure 4 rack, knobs from params.
 
     Knobs: ``workers``, ``pool``, ``elements``, ``loss``, ``jitter_us``,
-    ``granularity``, ``burst_epsilon``, ``backend``, ``timeout_s``,
+    ``granularity``, ``burst_epsilon``, ``timeout_s``,
     ``verify`` (real tensors checked against the exact sum; phantom
     run when false).
     """
@@ -104,7 +104,6 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
         loss_factory=_loss_factory(float(params.get("loss", 0.0))),
         granularity=str(params.get("granularity", "packet")),
         burst_epsilon=float(params.get("burst_epsilon", 0.0)),
-        backend=params.get("backend"),
         seed=seed,
     )
     job = SwitchMLJob(cfg)
@@ -119,7 +118,6 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "sim_events": int(res.sim_events),
         "retransmissions": int(res.retransmissions),
         "max_tat_s": float(res.max_tat),
-        "backend": getattr(job.program, "backend", "numpy"),
     }
 
 

@@ -1,25 +1,22 @@
-"""Batch-body backend equivalence (ISSUE 8).
+"""Batch-body equivalence: ``handle_batch`` vs per-packet ``handle``.
 
-Every body behind ``SwitchMLProgram.handle_batch`` -- the pure-NumPy
-vectorized path and the optional compiled C kernel -- must match the
-per-packet :meth:`handle` reference *bit for bit*: identical decision
-sequences (action, destination, payload), identical register contents
-after every batch, identical protocol counters.
+Both routes behind ``SwitchMLProgram.handle_batch`` -- the vectorized
+NumPy body and the per-packet loop it takes while invariant checking
+(or the event tracer) is on -- must match the per-packet
+:meth:`handle` reference *bit for bit*: identical decision sequences
+(action, destination, payload), identical register contents after
+every batch, identical protocol counters.
 
 The driver below replays a protocol-plausible but adversarial traffic
 mix -- interleaved first contributions, retransmitted duplicates (both
 in-flight and post-completion shadow reads), same-slot version overlap,
-and multi-batch slot reuse -- through a backend-under-test program and
-a reference program in lockstep, comparing after every batch.
-
-The compiled-backend cases skip cleanly when no C compiler is on PATH
-(the kernel build is fail-soft; see ``repro.core.backend``).
+and multi-batch slot reuse -- through a program under test and a
+reference program in lockstep, comparing after every batch.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.backend import load_switch_kernel, unavailable_reason
 from repro.core.packet import SwitchMLPacket
 from repro.core.switch_program import SwitchAction, SwitchMLProgram
 
@@ -28,16 +25,9 @@ S = 8  # pool slots
 K = 4  # elements per packet
 
 
-def _needs_kernel():
-    if load_switch_kernel("c") is None:
-        pytest.skip(f"compiled backend unavailable: {unavailable_reason()}")
-
-
-def _make_program(backend: str) -> SwitchMLProgram:
-    prog = SwitchMLProgram(N, S, K, backend=backend)
-    if backend == "c":
-        assert prog.backend == "c"
-    # exercise the batch bodies at every size, not just >= BATCH_MIN
+def _make_program(check_invariants: bool = False) -> SwitchMLProgram:
+    prog = SwitchMLProgram(N, S, K, check_invariants=check_invariants)
+    # exercise the batch body at every size, not just >= BATCH_MIN
     prog.BATCH_MIN = 2
     return prog
 
@@ -119,10 +109,10 @@ def _assert_decisions_match(got, want, tag):
         )
 
 
-def _run_lockstep(backend: str, seed: int):
+def _run_lockstep(seed: int, check_invariants: bool = False):
     rng = np.random.default_rng(seed)
-    prog = _make_program(backend)
-    ref = _make_program("numpy")
+    prog = _make_program(check_invariants)
+    ref = _make_program()
     for b, batch_model in enumerate(_drive(rng)):
         batch, ver, chunk, done = batch_model
         got = prog.handle_batch(list(batch))
@@ -143,26 +133,13 @@ def _run_lockstep(backend: str, seed: int):
 class TestNumpyBodyMatchesReference:
     @pytest.mark.parametrize("seed", [1, 42, 1234])
     def test_lockstep(self, seed):
-        _run_lockstep("numpy", seed)
+        _run_lockstep(seed)
 
 
-class TestCompiledBodyMatchesReference:
+class TestInvariantCheckedRouteMatchesReference:
+    """``check_invariants=True`` routes every drain through the
+    per-packet loop with the phase-lag assertions live."""
+
     @pytest.mark.parametrize("seed", [1, 42, 1234])
     def test_lockstep(self, seed):
-        _needs_kernel()
-        _run_lockstep("c", seed)
-
-    def test_backend_label(self):
-        _needs_kernel()
-        assert _make_program("c").backend == "c"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SwitchMLProgram(N, S, K, backend="fortran")
-
-
-class TestFailSoftFallback:
-    def test_numpy_label_without_kernel(self):
-        prog = _make_program("numpy")
-        assert prog.backend == "numpy"
-        assert prog._kernel is None
+        _run_lockstep(seed, check_invariants=True)

@@ -227,3 +227,59 @@ class TestLinkRates:
         t16 = job16.all_reduce(num_elements=n).max_tat
         t32 = job32.all_reduce(num_elements=n).max_tat
         assert t16 < t32
+
+
+class TestConfigValidation:
+    """Out-of-domain configs fail at construction with ValueError, not
+    deep inside (or forever inside) a run."""
+
+    def test_zero_timeout_rejected(self):
+        # regression: timeout_s=0 re-armed every timer at its own firing
+        # instant, so all_reduce(num_elements=1024) never returned
+        with pytest.raises(ValueError, match="timeout_s"):
+            SwitchMLConfig(timeout_s=0)
+
+    def test_negative_timeout_rejected(self):
+        # regression: surfaced as a SimulationError from the engine
+        # ("cannot schedule event at t=-1.0")
+        with pytest.raises(ValueError, match="timeout_s"):
+            SwitchMLConfig(timeout_s=-1)
+
+    def test_zero_elements_per_packet_rejected(self):
+        # regression: surfaced as a register-array error
+        with pytest.raises(ValueError, match="elements_per_packet"):
+            SwitchMLConfig(elements_per_packet=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_workers", 0),
+        ("pool_size", 0),
+        ("bytes_per_element", 0),
+        ("timeout_mode", "eager"),
+        ("pipeline_latency_s", -1e-9),
+        ("max_retries", -1),
+        ("epoch", -1),
+        ("granularity", "frame"),
+        ("burst_epsilon", -1e-9),
+    ])
+    def test_out_of_domain_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SwitchMLConfig(**{field: value})
+
+    def test_epsilon_requires_burst(self):
+        with pytest.raises(ValueError, match="burst_epsilon"):
+            SwitchMLConfig(burst_epsilon=1e-6)
+        assert SwitchMLConfig(granularity="burst", burst_epsilon=1e-6)
+
+    def test_fp16_and_lossless_exclusive(self):
+        with pytest.raises(ValueError, match="exclusive"):
+            SwitchMLConfig(fp16_switch=True, lossless_switch=True)
+
+    def test_fabric_config_validated(self):
+        from repro.net.fabric import FabricConfig
+
+        for kw in ({"timeout_s": 0}, {"timeout_s": -1},
+                   {"elements_per_packet": 0}, {"num_spines": 0},
+                   {"probe_interval_s": 0}, {"budget_fraction": 0.0}):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                FabricConfig(**kw)
+        assert FabricConfig().num_workers == 16

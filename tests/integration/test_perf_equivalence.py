@@ -12,11 +12,15 @@ Acceptance gates for the engine/packet-path overhaul:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core import job as job_module
 from repro.core.job import SwitchMLConfig, SwitchMLJob
 from repro.net.loss import BernoulliLoss, NoLoss
+from repro.sim.engine import Simulator
 
 
 def _run(scheduler: str, reuse: bool | None, loss: float = 0.01):
@@ -26,11 +30,18 @@ def _run(scheduler: str, reuse: bool | None, loss: float = 0.01):
         elements_per_packet=4,
         seed=11,
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-        scheduler=scheduler,
         reuse_buffers=reuse,
         timeout_s=1e-4,
     )
-    job = SwitchMLJob(cfg)
+    # the scheduler is a test-only oracle, not a config knob: inject the
+    # engine the job builds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            job_module, "Simulator",
+            functools.partial(Simulator, scheduler=scheduler),
+        )
+        job = SwitchMLJob(cfg)
+    assert job.sim.scheduler == scheduler
     rng = np.random.default_rng(3)
     tensors = [
         rng.integers(-1000, 1000, 512).astype(np.int64) for _ in range(4)

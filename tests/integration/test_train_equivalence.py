@@ -1,18 +1,14 @@
-"""Train-vs-per-frame egress equivalence: the ISSUE-10 fidelity story.
+"""Train-vs-per-frame egress equivalence.
 
-``train_egress=True`` batches the whole TX path -- worker chunk build,
-host TX-core charging, link send bodies, chassis/fabric ingest -- into
-frame trains carried by one engine event each.  The contract
-(docs/ARCHITECTURE.md "Frame-train egress"): in burst mode at
-``burst_epsilon=0`` the train path is a pure mechanical batching of the
-per-frame path, so RNG draw order, loss/jitter/corruption decisions,
-stats counters, INT series, and protocol fingerprints are bit-for-bit
-identical.  Positive epsilon windows only promise protocol-level
-equivalence (same outcome, not the same draw schedule) -- those cases
-live in TestTrainEpsilon with the softer comparison.
+Burst granularity batches the whole TX path -- worker chunk build, host
+TX-core charging, link send bodies, chassis egress -- into frame trains
+carried by one engine event each.  The contract (docs/ARCHITECTURE.md
+"Frame-train egress"): at ``burst_epsilon=0`` the train path is a pure
+mechanical batching of packet mode's per-frame path, so RNG draw
+order, loss/jitter/corruption decisions, stats counters, INT series,
+and protocol fingerprints are bit-for-bit identical.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.job import SwitchMLConfig, SwitchMLJob
@@ -68,8 +64,8 @@ def _telemetry_fp(hub):
     return tuple(out)
 
 
-def _run_flat(train: bool, *, loss=0.0, jitter=0.0, corrupt=0.0,
-              queue=None, eps=0.0, cap=0, telemetry=False):
+def _run_flat(granularity: str, *, loss=0.0, jitter=0.0, corrupt=0.0,
+              queue=None, telemetry=False):
     cfg = SwitchMLConfig(
         num_workers=N_WORKERS,
         pool_size=POOL,
@@ -78,10 +74,7 @@ def _run_flat(train: bool, *, loss=0.0, jitter=0.0, corrupt=0.0,
         link=LinkSpec(jitter_s=jitter, queue_bytes=queue,
                       corruption_probability=corrupt),
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-        granularity="burst",
-        burst_epsilon=eps,
-        train_egress=train,
-        train_cap=cap,
+        granularity=granularity,
         obs=Observability(telemetry=True) if telemetry else None,
     )
     job = SwitchMLJob(cfg)
@@ -115,91 +108,15 @@ class TestTrainBitExactFlat:
     @pytest.mark.parametrize("name", sorted(FLAT_CASES))
     def test_bit_identical_fingerprint(self, name):
         kw = FLAT_CASES[name]
-        per_frame = _run_flat(False, **kw)
-        train = _run_flat(True, **kw)
+        per_frame = _run_flat("packet", **kw)
+        train = _run_flat("burst", **kw)
         assert per_frame == train
-
-    def test_train_cap_split_is_bit_exact(self):
-        # a finite cap splits long trains into sub-trains; at eps=0 each
-        # frame's body still runs in the same order, so the split is
-        # unobservable
-        uncapped = _run_flat(True, loss=0.01)
-        capped = _run_flat(True, loss=0.01, cap=5)
-        assert uncapped == capped
-
-
-def _run_fabric(train: bool, *, loss=0.0, corrupt=0.0, queue=None):
-    from repro.net.fabric import FabricConfig, FabricJob
-
-    job = FabricJob(
-        FabricConfig(
-            num_leaves=2,
-            num_spines=2,
-            workers_per_leaf=4,
-            pool_size=32,
-            elements_per_packet=K,
-            seed=SEED,
-            link=LinkSpec(queue_bytes=queue,
-                          corruption_probability=corrupt),
-            loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-            train_egress=train,
-        )
-    )
-    res = job.all_reduce(num_elements=K * 256, deadline_s=30.0)
-    assert res.completed
-    return res.retransmissions, res.max_tat
-
-
-FABRIC_CASES = {
-    "clean": {},
-    "lossy": {"loss": 0.01},
-    "corruption": {"corrupt": 0.005},
-    "finite_queue": {"queue": 6000, "loss": 0.01},
-}
-
-
-class TestTrainBitExactFabric:
-    @pytest.mark.parametrize("name", sorted(FABRIC_CASES))
-    def test_bit_identical_fingerprint(self, name):
-        kw = FABRIC_CASES[name]
-        assert _run_fabric(False, **kw) == _run_fabric(True, **kw)
-
-
-class TestTrainEpsilon:
-    """eps>0: the softer contract -- the fused window path may reorder
-    unobservable work, so only the protocol outcome is pinned."""
-
-    @pytest.mark.parametrize("loss", [0.0, 0.01])
-    def test_same_protocol_outcome(self, loss):
-        per_frame = _run_flat(False, loss=loss, eps=1e-6)
-        train = _run_flat(True, loss=loss, eps=1e-6)
-        assert per_frame["retx"] == train["retx"]
-        assert per_frame["per_worker_retx"] == train["per_worker_retx"]
-        assert per_frame["tats"] == train["tats"]
-
-
-class TestTrainKnobValidation:
-    def test_train_egress_requires_burst(self):
-        with pytest.raises(ValueError, match="train_egress"):
-            SwitchMLJob(
-                SwitchMLConfig(num_workers=2, pool_size=4,
-                               train_egress=True)
-            )
-
-    def test_negative_train_cap_rejected(self):
-        with pytest.raises(ValueError, match="train_cap"):
-            SwitchMLJob(
-                SwitchMLConfig(num_workers=2, pool_size=4,
-                               granularity="burst", train_egress=True,
-                               train_cap=-1)
-            )
 
 
 class TestCorruptionDrawOrder:
-    """ISSUE-10 small fix: the corruption draw comes from the same block
-    buffer as the inlined Bernoulli loss path, in per-frame
-    loss->corruption->jitter order -- not a scalar ``rng.random()`` on
-    the side."""
+    """The corruption draw comes from the same block buffer as the
+    inlined Bernoulli loss path, in per-frame loss->corruption->jitter
+    order -- not a scalar ``rng.random()`` on the side."""
 
     def _stream(self, name, n):
         # the link's named substream, replayed independently: block
@@ -247,9 +164,11 @@ class TestCorruptionDrawOrder:
             spec = LinkSpec(propagation_s=0.0, jitter_s=1e-6,
                             corruption_probability=0.2)
             got = []
-            link = Link(sim, spec, "shared",
-                        deliver=lambda f: got.append((sim.now, f)),
-                        loss=BernoulliLoss(0.2))
+            link = Link(sim, spec, "shared", loss=BernoulliLoss(0.2))
+            link.connect(
+                lambda f: got.append((sim.now, f)),
+                lambda fs: got.extend((sim.now, f) for f in fs),
+            )
             link.burst = True
             frames = [Frame(wire_bytes=1250, flow_key=i)
                       for i in range(150)]

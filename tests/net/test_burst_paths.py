@@ -43,7 +43,10 @@ class FrameRecorder:
 
 class TestLinkBurst:
     def _link(self, sim, out, **spec):
-        return Link(sim, LinkSpec(**spec), "l", deliver=out.append)
+        # burst links deliver each drain group through deliver_many
+        link = Link(sim, LinkSpec(**spec), "l")
+        link.connect(out.append, out.extend)
+        return link
 
     def test_serialized_arrivals_deliver_individually(self):
         sim = Simulator()
@@ -112,8 +115,9 @@ class TestHostBurstRx:
         host = self._host(sim, spec)
         agent = BurstRecorder(sim)
         host.attach_agent(agent)
-        for i in range(3):
-            host.deliver_burst(Frame(wire_bytes=180, flow_key=0))
+        host.deliver_burst_many(
+            [Frame(wire_bytes=180, flow_key=0) for _ in range(3)]
+        )
         sim.run()
         assert len(agent.bursts) == 1
         _, frames = agent.bursts[0]
@@ -129,8 +133,8 @@ class TestHostBurstRx:
         host = self._host(sim, spec)
         agent = BurstRecorder(sim)
         host.attach_agent(agent)
-        host.deliver_burst(Frame(wire_bytes=180, flow_key=0))
-        host.deliver_burst(Frame(wire_bytes=180, flow_key=0))
+        host.deliver_burst_many([Frame(wire_bytes=180, flow_key=0)])
+        host.deliver_burst_many([Frame(wire_bytes=180, flow_key=0)])
         sim.run()
         # per-frame RX cost serializes the core: two groups of one
         assert [len(frames) for _, frames in agent.bursts] == [1, 1]
@@ -144,13 +148,14 @@ class TestHostBurstRx:
         host = self._host(sim, spec)
         agent = FrameRecorder(sim)
         host.attach_agent(agent)
-        host.deliver_burst(Frame(wire_bytes=180, flow_key=0))
-        host.deliver_burst(Frame(wire_bytes=180, flow_key=0))
+        host.deliver_burst_many(
+            [Frame(wire_bytes=180, flow_key=0) for _ in range(2)]
+        )
         sim.run()
         assert len(agent.frames) == 2
 
     def test_burst_rx_charges_core_like_packet_mode(self):
-        def total_busy(deliver_name):
+        def total_busy(burst):
             sim = Simulator()
             spec = HostSpec(
                 num_cores=1, per_frame_rx_s=50e-9,
@@ -158,19 +163,22 @@ class TestHostBurstRx:
             )
             host = self._host(sim, spec)
             host.attach_agent(FrameRecorder(sim))
-            deliver = getattr(host, deliver_name)
-            for _ in range(4):
-                deliver(Frame(wire_bytes=180, flow_key=0))
+            frames = [Frame(wire_bytes=180, flow_key=0) for _ in range(4)]
+            if burst:
+                host.deliver_burst_many(frames)
+            else:
+                for frame in frames:
+                    host.deliver(frame)
             sim.run()
             return host.cores[0].busy_time, host.frames_received
 
-        assert total_busy("deliver_burst") == total_busy("deliver")
+        assert total_busy(True) == total_busy(False)
 
     def test_missing_agent_raises(self):
         sim = Simulator()
         spec = HostSpec(num_cores=1, io_batch_frames=0)
         host = self._host(sim, spec)
-        host.deliver_burst(Frame(wire_bytes=180, flow_key=0))
+        host.deliver_burst_many([Frame(wire_bytes=180, flow_key=0)])
         with pytest.raises(RuntimeError, match="no agent"):
             sim.run()
 
@@ -200,11 +208,11 @@ class TestChassisBurst:
         sim = Simulator()
         chassis, out = self._chassis(sim)
         chassis.load_program(_EchoProgram())
-        deliver0 = chassis.burst_ingress_callback(0)
-        deliver1 = chassis.burst_ingress_callback(1)
+        deliver0 = chassis.burst_ingress_many_callback(0)
+        deliver1 = chassis.burst_ingress_many_callback(1)
         pending_before = sim.pending
-        deliver0(Frame(wire_bytes=180, flow_key=0))
-        deliver1(Frame(wire_bytes=180, flow_key=1))
+        deliver0([Frame(wire_bytes=180, flow_key=0)])
+        deliver1([Frame(wire_bytes=180, flow_key=1)])
         assert sim.pending == pending_before + 1
         sim.run()
         # fallback path (program has no process_batch): per-frame
@@ -217,15 +225,15 @@ class TestChassisBurst:
         sim = Simulator()
         chassis, out = self._chassis(sim)
         chassis.load_program(_EchoProgram())
-        deliver = chassis.burst_ingress_callback(0)
-        deliver(Frame(wire_bytes=180, flow_key=0))
-        sim.schedule_call(5e-7, deliver, Frame(wire_bytes=180, flow_key=1))
+        deliver = chassis.burst_ingress_many_callback(0)
+        deliver([Frame(wire_bytes=180, flow_key=0)])
+        sim.schedule_call(5e-7, deliver, [Frame(wire_bytes=180, flow_key=1)])
         sim.run()
         assert [f.flow_key for f in out] == [0, 1]
 
     def test_unloaded_program_raises(self):
         sim = Simulator()
         chassis, _ = self._chassis(sim)
-        deliver = chassis.burst_ingress_callback(0)
+        deliver = chassis.burst_ingress_many_callback(0)
         with pytest.raises(RuntimeError, match="no dataplane program"):
-            deliver(Frame(wire_bytes=180, flow_key=0))
+            deliver([Frame(wire_bytes=180, flow_key=0)])

@@ -1,16 +1,15 @@
 """Cross-config determinism: the protocol fingerprint is invariant
 across execution strategies.
 
-``granularity`` (packet vs epsilon-0 burst) and ``backend`` (numpy vs
-the compiled C kernel) change how the simulator *executes* a run, never
-what the protocol *does*.  The witness is
+``granularity`` (packet vs epsilon-0 burst) changes how the simulator
+*executes* a run, never what the protocol *does*.  The witness is
 :func:`repro.sweep.scenarios.protocol_fingerprint`: per-worker TATs,
 packet/retransmission counts, frames lost, and the result checksum --
 everything a paper figure would be built from.  Engine event counts are
 deliberately outside the fingerprint (burst mode coalesces events by
 design).
 
-Each equivalence is checked over clean, lossy, jittered, and
+The equivalence is checked over clean, lossy, jittered, and
 lossy+jittered links: loss exercises the retransmission path, jitter
 the reordering path, and their product the interaction the fuzzer's
 finding 3 lived in.
@@ -18,7 +17,6 @@ finding 3 lived in.
 
 import pytest
 
-from repro.core.backend import load_switch_kernel
 from repro.sweep.scenarios import run_scenario
 from repro.sweep.tasks import derive_seed
 
@@ -58,22 +56,6 @@ class TestPacketVsBurst:
             fp, _ = fingerprint(seed, **LINKS[link], granularity="packet")
             assert fp["completed"]
             assert fp["result_sha"] is not None
-
-
-@pytest.mark.parametrize("link", sorted(LINKS))
-class TestNumpyVsC:
-    def test_compiled_backend_matches_numpy(self, link):
-        if load_switch_kernel("c") is None:
-            pytest.skip("no C toolchain: compiled backend unavailable")
-        for seed in seeds(link):
-            ref, _ = fingerprint(
-                seed, **LINKS[link], granularity="burst", backend="numpy"
-            )
-            compiled, rec = fingerprint(
-                seed, **LINKS[link], granularity="burst", backend="c"
-            )
-            assert rec["backend"] == "c"
-            assert ref == compiled
 
 
 class TestLossActuallyExercisesRecovery:

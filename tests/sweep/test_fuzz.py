@@ -61,45 +61,36 @@ class TestDrawGeneration:
             ]
             assert len(crashes) < draw["knobs"]["spines"]
 
-    def test_flat_burst_draws_cover_train_knobs(self):
-        # the ISSUE-10 egress knobs: train on/off, cap lengths, and the
-        # train x epsilon x backend cross all reachable in burst draws;
-        # packet draws never carry them (train_egress requires burst)
-        trains, caps, crossed = set(), set(), set()
-        for seed in range(200):
-            k = draw_scenario(seed, domains=("flat",))["knobs"]
-            if k["granularity"] != "burst":
-                assert "train_egress" not in k
-                continue
-            trains.add(k["train_egress"])
-            caps.add(k["train_cap"])
-            crossed.add(
-                (k["train_egress"], k["burst_epsilon"] > 0.0, k["backend"])
-            )
-        assert trains == {True, False}
-        assert {0, 3, 17} <= caps
-        assert (True, True, "numpy") in crossed
-        assert (True, True, "c") in crossed
-        assert (True, False, "numpy") in crossed
-
-    def test_fabric_draws_cover_train_knobs(self):
-        trains, caps = set(), set()
+    def test_flat_draws_cover_both_execution_paths(self):
+        # the two execution paths, and burst's epsilon windows (exact
+        # ties plus two widths), are all reachable; packet draws never
+        # open a window (burst_epsilon requires granularity="burst")
+        epsilons = set()
+        granularities = set()
         for seed in range(120):
-            k = draw_scenario(seed, domains=("fabric",))["knobs"]
-            trains.add(k["train_egress"])
-            caps.add(k["train_cap"])
-        assert trains == {True, False}
-        assert {0, 5} <= caps
+            k = draw_scenario(seed, domains=("flat",))["knobs"]
+            granularities.add(k["granularity"])
+            if k["granularity"] == "packet":
+                assert k["burst_epsilon"] == 0.0
+            else:
+                epsilons.add(k["burst_epsilon"])
+        assert granularities == {"packet", "burst"}
+        assert epsilons == {0.0, 5e-6, 2e-5}
 
-    def test_train_draws_replay_clean(self):
-        # seed 6 (flat): burst + train_egress + train_cap=3 + loss;
-        # seed 0 (fabric): train_egress + cap=5 -- both must run with
-        # zero invariant violations
-        for domain, seed in (("flat", 6), ("fabric", 0)):
-            draw = draw_scenario(seed, domains=(domain,))
-            assert draw["knobs"]["train_egress"], (domain, seed)
+    def test_burst_draws_replay_clean(self):
+        # the first flat burst draw with a positive epsilon window and
+        # loss, plus a fabric draw -- both must run with zero invariant
+        # violations
+        draws = (draw_scenario(s, domains=("flat",)) for s in range(200))
+        flat = next(
+            d for d in draws
+            if d["knobs"]["granularity"] == "burst"
+            and d["knobs"]["burst_epsilon"] > 0.0
+            and d["knobs"]["loss"] > 0.0
+        )
+        for draw in (flat, draw_scenario(0, domains=("fabric",))):
             out = run_draw(draw)
-            assert out["violations"] == [], (domain, out["violations"])
+            assert out["violations"] == [], (draw["domain"], out["violations"])
 
 
 class TestReplay:
